@@ -111,6 +111,13 @@ bench:
 bench-json:
 	dune exec bench/main.exe -- --json
 
+# Smoke test of the steady benchmark (perfbench/, declared by
+# BENCHMARK.json): every workload at a tiny size must print exactly its
+# declared metrics with every reply correct, a corrupted oracle must be
+# caught, and a checkout without the sources must fail to produce a result.
+perfbench-smoke:
+	python3 perfbench/smoke.py
+
 examples:
 	dune exec examples/quickstart.exe
 	dune exec examples/payroll_audit.exe
@@ -127,4 +134,4 @@ doc:
 clean:
 	dune clean
 
-.PHONY: all test test-force lint-corpus certify-corpus chaos chaos-crash chaos-dist serve-chaos chaos-par refine-diff experiments bench bench-json examples doc clean
+.PHONY: all test test-force lint-corpus certify-corpus chaos chaos-crash chaos-dist serve-chaos chaos-par refine-diff experiments bench bench-json perfbench-smoke examples doc clean

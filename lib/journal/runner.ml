@@ -289,8 +289,8 @@ let journaled_loop ?kill_at ?(sink = Sink.null) ~media ~header m st0 =
   in
   loop st0
 
-let run ?kill_at ?(snapshot_every = default_snapshot_every) ?(sink = Sink.null)
-    ~media ~program_ref (cfg : Dynamic.config) g inputs =
+let run ?kill_at ?digest ?(snapshot_every = default_snapshot_every)
+    ?(sink = Sink.null) ~media ~program_ref (cfg : Dynamic.config) g inputs =
   if snapshot_every < 1 then invalid_arg "Runner.run: snapshot_every < 1";
   Sink.emit sink
     (Event.run_header ~program:program_ref ~arity:g.Graph.arity
@@ -300,7 +300,7 @@ let run ?kill_at ?(snapshot_every = default_snapshot_every) ?(sink = Sink.null)
     {
       program_ref;
       graph_name = g.Graph.name;
-      graph_hash = graph_hash g;
+      graph_hash = (match digest with Some d -> d | None -> graph_hash g);
       arity = g.Graph.arity;
       inputs = Array.copy inputs;
       mode = cfg.Dynamic.mode;

@@ -53,6 +53,7 @@ type outcome =
 
 val run :
   ?kill_at:int ->
+  ?digest:string ->
   ?snapshot_every:int ->
   ?sink:Secpol_trace.Sink.t ->
   media:Media.t ->
@@ -63,6 +64,9 @@ val run :
   outcome
 (** Run the monitored interpreter, journaling every committed box.
     [kill_at n] aborts after [n] journaled boxes (fault injection);
+    [digest] is the caller's precomputed {!graph_hash} of the graph for
+    the snapshot header (default: computed here) — a wrong one makes
+    every {!resume} refuse the journal with [Program_mismatch];
     [snapshot_every] bounds the journal length between snapshots. [sink]
     (default null) receives the journal lifecycle: the run header, one
     checkpoint event per folded snapshot, and the verdict. Per-box trace

@@ -61,9 +61,30 @@ type conn = {
   mutable closing : bool;  (* engine refused it: flush output, then close *)
 }
 
+(* A corpus program as the engine serves it: resolved once, on the first
+   request (or recovery) that names it. [digest] is [Runner.graph_hash
+   graph], the program's half of every cache key and journal header. *)
+type program = { graph : Graph.t; space : Space.t; digest : string }
+
+(* Everything the request path needs that is constant per (session,
+   program), built once on the first enforce request for the pair. *)
+type plan = {
+  prog : program;
+  ikey : bool;
+      (* the verdict cache may key on the I-projection of in-space inputs:
+         the session mechanism is proven timed-view sound for its policy *)
+  tag_ikey : string;  (* cache-key tags: "mode|fuel=N|I" ... *)
+  tag_exact : string;  (* ... and "mode|fuel=N|exact" *)
+  dcfg : Dynamic.config;  (* the session's monitor, traced into the sink *)
+  mech : Mechanism.t;
+      (* Dynamic over [dcfg]: the base the guard wraps in an unjournaled
+         session — the same two layers Run.mechanism composes, so a served
+         verdict is bit-identical to a local run under the same config *)
+}
+
 type work = {
   w_enforce : Wire.enforce;
-  w_graph : Graph.t;
+  w_plan : plan;
   w_session : Session.t;
   w_arrival : float;  (* admission instant, for the latency histograms *)
   w_ckey : Cache.key option;  (* session verdict-cache key; [None] = don't cache *)
@@ -74,12 +95,8 @@ type t = {
   store : Store.t;
   sink : Sink.t;
   ms : Metrics.t;
-  graphs : (string, Graph.t) Hashtbl.t;
-  spaces : (string, Secpol_core.Space.t) Hashtbl.t;  (* program -> corpus input space *)
-  mechs : (string, Mechanism.t) Hashtbl.t;  (* unjournaled, per session/program *)
-  ikeys : (string, bool) Hashtbl.t;
-      (* per session/program: is the session mechanism timed-view sound for
-         its policy, i.e. may the verdict cache key on the I-projection? *)
+  programs : (string, program) Hashtbl.t;
+  plans : (string * string, plan) Hashtbl.t;  (* (session, program) *)
   sessions : (string, Session.t) Hashtbl.t;
   conns : (int, conn) Hashtbl.t;
   queue : work Admission.t;
@@ -106,21 +123,23 @@ let bump ?by t name = Metrics.incr ?by (c t name)
 
 let emit t ev = Sink.emit t.sink ev
 
-let graph_of t program =
-  match Hashtbl.find_opt t.graphs program with
-  | Some g -> Some g
+let program_of t name =
+  match Hashtbl.find_opt t.programs name with
+  | Some p -> Some p
   | None -> (
-      match Paper.find program with
+      match Paper.find name with
       | entry ->
-          let g = Paper.graph entry in
-          Hashtbl.add t.graphs program g;
-          Hashtbl.add t.spaces program entry.Paper.space;
-          Some g
+          let graph = Paper.graph entry in
+          let p =
+            { graph; space = entry.Paper.space; digest = Runner.graph_hash graph }
+          in
+          Hashtbl.add t.programs name p;
+          Some p
       | exception Not_found -> None)
 
 let resolve t (h : Runner.header) =
-  match graph_of t h.Runner.program_ref with
-  | Some g -> Ok g
+  match program_of t h.Runner.program_ref with
+  | Some p -> Ok p.graph
   | None -> Error (Printf.sprintf "unknown program %S" h.Runner.program_ref)
 
 (* ---------- recovery on restart ---------- *)
@@ -181,10 +200,8 @@ let create ?(config = default_config) ?(sink = Sink.null) ?metrics ~store ~now:_
       store;
       sink;
       ms;
-      graphs = Hashtbl.create 16;
-      spaces = Hashtbl.create 16;
-      mechs = Hashtbl.create 16;
-      ikeys = Hashtbl.create 16;
+      programs = Hashtbl.create 16;
+      plans = Hashtbl.create 16;
       sessions = Hashtbl.create 16;
       conns = Hashtbl.create 16;
       queue = Admission.create ~seed:config.shed_seed ~capacity:config.capacity ();
@@ -262,55 +279,78 @@ let sbump ?by t session what = bump ?by t (sname session what)
 
 (* ---------- cross-request session verdict cache ---------- *)
 
-let mech_key session program = session ^ "\x00" ^ program
-
 (* The cache key may collapse inputs to their I-projection only when that
    is {e proven} for this session's mechanism: sound under the timed view,
    so the whole reply — steps included — is constant per I-class and a
    cached representative is bit-identical to a fresh run (DESIGN §13). The
    proof is the exhaustive Soundness check over the program's corpus
    space, run once per (session, program) on the clean mechanism; when it
-   fails (or no space is known) the key falls back to the full input
-   vector, which is sound for any mechanism.
+   fails the key falls back to the full input vector, which is sound for
+   any mechanism.
 
    The proof runs synchronously on the serving loop, so it is bounded:
    a space larger than [ikey_space_limit] (or whose size overflows) is
    never enumerated on the request path — the session simply keys on
    exact inputs, which costs cache density, never correctness or
    latency. *)
-let ikey_strategy t (session : Session.t) program g =
-  let key = mech_key (Session.name session) program in
-  match Hashtbl.find_opt t.ikeys key with
-  | Some b -> b
-  | None ->
-      let b =
-        match Hashtbl.find_opt t.spaces program with
-        | None -> false
-        | Some space ->
-            let provable =
-              match Space.size space with
-              | n -> n <= t.cfg.ikey_space_limit
-              | exception Invalid_argument _ -> false
-            in
-            if not provable then begin
-              bump t "server/cache-ikey-skips";
-              false
-            end
-            else
-              let policy = Session.policy session in
-              let m =
-                Dynamic.mechanism
-                  (Dynamic.config ~fuel:session.Session.spec.Wire.fuel
-                     ~mode:session.Session.spec.Wire.mode policy)
-                  g
-              in
-              Soundness.is_sound ~config:Soundness.timed policy m space
+let ikey_proof t (session : Session.t) (p : program) =
+  let b =
+    let provable =
+      match Space.size p.space with
+      | n -> n <= t.cfg.ikey_space_limit
+      | exception Invalid_argument _ -> false
+    in
+    if not provable then begin
+      bump t "server/cache-ikey-skips";
+      false
+    end
+    else
+      let policy = Session.policy session in
+      let m =
+        Dynamic.mechanism
+          (Dynamic.config ~fuel:session.Session.spec.Wire.fuel
+             ~mode:session.Session.spec.Wire.mode policy)
+          p.graph
       in
-      Hashtbl.add t.ikeys key b;
-      bump t (if b then "server/cache-ikeys" else "server/cache-exact-keys");
-      b
+      Soundness.is_sound ~config:Soundness.timed policy m p.space
+  in
+  bump t (if b then "server/cache-ikeys" else "server/cache-exact-keys");
+  b
 
-let cache_key t (session : Session.t) program g inputs =
+(* Built on the first enforce request for the pair. The I-key proof runs
+   here only for sessions that will consult the cache (cache on,
+   unjournaled) — the request that would first have built a cache key. *)
+let plan_of t (session : Session.t) name (prog : program) =
+  let key = (Session.name session, name) in
+  match Hashtbl.find_opt t.plans key with
+  | Some pl -> pl
+  | None ->
+      let spec = session.Session.spec in
+      let tag k =
+        Printf.sprintf "%s|fuel=%d|%s" (Dynamic.mode_name spec.Wire.mode)
+          spec.Wire.fuel k
+      in
+      let dcfg =
+        Dynamic.config ~fuel:spec.Wire.fuel ~hook:t.cfg.hook
+          ~emit:(Sink.emitter ~graph:prog.graph t.sink)
+          ~mode:spec.Wire.mode (Session.policy session)
+      in
+      let pl =
+        {
+          prog;
+          ikey =
+            t.cfg.session_cache && (not spec.Wire.journaled)
+            && ikey_proof t session prog;
+          tag_ikey = tag "I";
+          tag_exact = tag "exact";
+          dcfg;
+          mech = Dynamic.mechanism dcfg prog.graph;
+        }
+      in
+      Hashtbl.add t.plans key pl;
+      pl
+
+let cache_key t (session : Session.t) (pl : plan) inputs =
   (* The soundness proof quantifies over the corpus space only, so the
      I-projection covers exactly the inputs in that space. An arbitrary
      wire input outside it must key on the full vector: its Policy.image
@@ -318,27 +358,26 @@ let cache_key t (session : Session.t) program g inputs =
      class's cached verdict for it is exactly the enforcement hole the
      proof does not rule out. *)
   let ikey =
-    ikey_strategy t session program g
+    pl.ikey
     &&
-    match Hashtbl.find_opt t.spaces program with
-    | Some space when Space.mem space inputs -> true
-    | _ ->
-        bump t "server/cache-out-of-space";
-        false
+    if Space.mem pl.prog.space inputs then true
+    else begin
+      bump t "server/cache-out-of-space";
+      false
+    end
   in
-  let projection =
-    if ikey then Policy.image (Session.policy session) inputs
-    else Value.tuple (Array.to_list inputs)
-  in
-  {
-    Cache.digest = Runner.graph_hash g;
-    tag =
-      Printf.sprintf "%s|fuel=%d|%s"
-        (Dynamic.mode_name session.Session.spec.Wire.mode)
-        session.Session.spec.Wire.fuel
-        (if ikey then "I" else "exact");
-    projection;
-  }
+  if ikey then
+    {
+      Cache.digest = pl.prog.digest;
+      tag = pl.tag_ikey;
+      projection = Policy.image (Session.policy session) inputs;
+    }
+  else
+    {
+      Cache.digest = pl.prog.digest;
+      tag = pl.tag_exact;
+      projection = Value.tuple (Array.to_list inputs);
+    }
 
 (* Only settled monitor verdicts are cached: grants and policy denials are
    deterministic functions of the key, while [Λ/degraded]/[Λ/recovery]/
@@ -370,7 +409,10 @@ let sync_cache_counters t (session : Session.t) =
   sync "cache-misses" (Cache.misses session.Session.cache);
   sync "cache-evictions" (Cache.evictions session.Session.cache)
 
-let shed t (e : work Admission.entry) reason =
+(* Answer [e] with Λ/overload. [cause] names why, in the event detail and
+   in the server/shed-<cause> counter: an admission reason, or "breaker"
+   for a session whose circuit breaker was open when the entry popped. *)
+let shed t ?(kind = Event.Shed) (e : work Admission.entry) cause =
   push t e.Admission.conn
     (Wire.Reply
        {
@@ -378,22 +420,23 @@ let shed t (e : work Admission.entry) reason =
          request_id = e.Admission.request_id;
          reply = overload_reply;
        });
-  let kind =
-    match reason with Admission.Expired -> Event.Expire | _ -> Event.Shed
-  in
   emit t
     (Event.Server
        {
          kind;
          conn = e.Admission.conn;
          session = e.Admission.session;
-         detail =
-           Printf.sprintf "request %d: %s" e.Admission.request_id
-             (Admission.reason_name reason);
+         detail = Printf.sprintf "request %d: %s" e.Admission.request_id cause;
        });
   bump t "server/shed";
-  bump t (Printf.sprintf "server/shed-%s" (Admission.reason_name reason));
+  bump t ("server/shed-" ^ cause);
   sbump t e.Admission.session "sheds"
+
+let shed_admission t e reason =
+  let kind =
+    match reason with Admission.Expired -> Event.Expire | _ -> Event.Shed
+  in
+  shed t ~kind e (Admission.reason_name reason)
 
 let handle_enforce t (cn : conn) ~now (e : Wire.enforce) =
   match Hashtbl.find_opt t.sessions e.Wire.session with
@@ -401,15 +444,15 @@ let handle_enforce t (cn : conn) ~now (e : Wire.enforce) =
       refuse t cn "unknown-session"
         (Printf.sprintf "no session %S (request %d)" e.Wire.session e.Wire.request_id)
   | Some session -> (
-      match graph_of t e.Wire.program with
+      match program_of t e.Wire.program with
       | None ->
           refuse t cn "unknown-program"
             (Printf.sprintf "no program %S (request %d)" e.Wire.program e.Wire.request_id)
-      | Some g when Graph.(g.arity) <> Array.length e.Wire.inputs ->
+      | Some p when Graph.(p.graph.arity) <> Array.length e.Wire.inputs ->
           refuse t cn "bad-arity"
             (Printf.sprintf "%s wants %d inputs, got %d (request %d)" e.Wire.program
-               Graph.(g.arity) (Array.length e.Wire.inputs) e.Wire.request_id)
-      | Some g ->
+               Graph.(p.graph.arity) (Array.length e.Wire.inputs) e.Wire.request_id)
+      | Some p ->
           bump t "server/requests";
           sbump t e.Wire.session "requests";
           let d_us =
@@ -417,9 +460,10 @@ let handle_enforce t (cn : conn) ~now (e : Wire.enforce) =
             else e.Wire.deadline_us
           in
           let deadline = now +. (float_of_int d_us /. 1e6) in
+          let plan = plan_of t session e.Wire.program p in
           let ckey =
             if t.cfg.session_cache && not session.Session.spec.Wire.journaled
-            then Some (cache_key t session e.Wire.program g e.Wire.inputs)
+            then Some (cache_key t session plan e.Wire.inputs)
             else None
           in
           let decisions =
@@ -427,7 +471,7 @@ let handle_enforce t (cn : conn) ~now (e : Wire.enforce) =
               ~request_id:e.Wire.request_id ~deadline
               {
                 w_enforce = e;
-                w_graph = g;
+                w_plan = plan;
                 w_session = session;
                 w_arrival = now;
                 w_ckey = ckey;
@@ -448,7 +492,7 @@ let handle_enforce t (cn : conn) ~now (e : Wire.enforce) =
                          session = a.Admission.session;
                          detail = Printf.sprintf "request %d" a.Admission.request_id;
                        })
-              | `Shed (v, reason) -> shed t v reason)
+              | `Shed (v, reason) -> shed_admission t v reason)
             decisions)
 
 let handle_resume t (cn : conn) (session_name : string) request_id =
@@ -531,30 +575,9 @@ let drain t ~now:_ =
 
 (* ---------- execution ---------- *)
 
-(* The guarded monitor of an unjournaled session, built once per
-   (session, program): exactly Guard over Dynamic, the same two layers
-   Run.mechanism composes, so a served verdict is bit-identical to a
-   local run under the same config. *)
-let base_mechanism t (session : Session.t) program g =
-  let key = mech_key (Session.name session) program in
-  match Hashtbl.find_opt t.mechs key with
-  | Some m -> m
-  | None ->
-      let dcfg =
-        Dynamic.config ~fuel:session.Session.spec.Wire.fuel ~hook:t.cfg.hook
-          ~emit:(Sink.emitter ~graph:g t.sink)
-          ~mode:session.Session.spec.Wire.mode (Session.policy session)
-      in
-      let m = Dynamic.mechanism dcfg g in
-      Hashtbl.add t.mechs key m;
-      m
-
-let journaled_mechanism t (session : Session.t) (e : Wire.enforce) g ~kill_at =
-  let dcfg =
-    Dynamic.config ~fuel:session.Session.spec.Wire.fuel ~hook:t.cfg.hook
-      ~emit:(Sink.emitter ~graph:g t.sink)
-      ~mode:session.Session.spec.Wire.mode (Session.policy session)
-  in
+let journaled_mechanism t (session : Session.t) (e : Wire.enforce) (pl : plan)
+    ~kill_at =
+  let g = pl.prog.graph in
   let key =
     Session.media_key ~session:(Session.name session) ~request_id:e.Wire.request_id
   in
@@ -564,8 +587,9 @@ let journaled_mechanism t (session : Session.t) (e : Wire.enforce) g ~kill_at =
     (fun a ->
       let media = Store.media t.store key in
       let outcome =
-        Runner.run ?kill_at ~snapshot_every:t.cfg.snapshot_every ~sink:t.sink
-          ~media ~program_ref:e.Wire.program dcfg g a
+        Runner.run ?kill_at ~digest:pl.prog.digest
+          ~snapshot_every:t.cfg.snapshot_every ~sink:t.sink ~media
+          ~program_ref:e.Wire.program pl.dcfg g a
       in
       Media.close media;
       match outcome with
@@ -585,7 +609,7 @@ let execute_one t (w : work) inputs =
          never existed. Resume later finds no journal -> Λ/recovery. *)
       raise Died
   | Some at ->
-      let m = journaled_mechanism t session w.w_enforce w.w_graph ~kill_at:(Some at) in
+      let m = journaled_mechanism t session w.w_enforce w.w_plan ~kill_at:(Some at) in
       (* An armed kill strikes during the run (Died) unless the run ends
          before box [at]; either way no guard retries a killed process. *)
       let reply = Mechanism.respond m inputs in
@@ -601,8 +625,8 @@ let execute_one t (w : work) inputs =
       | None ->
           let m =
             if session.Session.spec.Wire.journaled then
-              journaled_mechanism t session w.w_enforce w.w_graph ~kill_at:None
-            else base_mechanism t session w.w_enforce.Wire.program w.w_graph
+              journaled_mechanism t session w.w_enforce w.w_plan ~kill_at:None
+            else w.w_plan.mech
           in
           let outcome, steps =
             Guard.run ~config:(Session.guard_config session) ~sink:t.sink m inputs
@@ -634,12 +658,12 @@ let execute t ~now =
     match Admission.pop t.queue ~now with
     | `Empty -> continue := false
     | `Expired e ->
-        shed t e Admission.Expired;
+        shed_admission t e Admission.Expired;
         Stdlib.incr n
     | `Run e ->
         let w = e.Admission.work in
         if Session.breaker_open w.w_session ~now then begin
-          shed t e Admission.Queue_full;
+          shed t e "breaker";
           bump t "server/breaker-sheds"
         end
         else batch := e :: !batch;

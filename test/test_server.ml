@@ -576,6 +576,12 @@ let test_breaker_trips_and_recovers () =
   Alcotest.(check bool) "breaker-sheds counted" true
     (Metrics.counter_value (Engine.metrics d.engine) "server/breaker-sheds"
     > 0);
+  (* ... under their own label: the queue was never full *)
+  Alcotest.(check int) "breaker sheds labelled breaker"
+    (Metrics.counter_value (Engine.metrics d.engine) "server/breaker-sheds")
+    (Metrics.counter_value (Engine.metrics d.engine) "server/shed-breaker");
+  Alcotest.(check int) "no queue-full sheds" 0
+    (Metrics.counter_value (Engine.metrics d.engine) "server/shed-queue-full");
   (* the dashboard reads the open breaker off the gauge *)
   Alcotest.(check int) "breaker gauge raised" 1
     (Metrics.gauge_value (Engine.metrics d.engine)
@@ -760,6 +766,87 @@ let test_session_cache_space_limit () =
         Alcotest.failf "input %d: %s, clean %s" i (FReport.show_reply got)
           (FReport.show_reply want))
     inputs
+
+(* Cached verdicts stay apart across programs and session configs. One
+   session interleaves four programs of the same arity over the same 0..3
+   space with identical input vectors, so a verdict keyed on the wrong
+   program would collide; a second session runs ex7 under another mode
+   and fuel. Every reply must be its own program's clean verdict under its
+   own session's config, and the I-key proof runs once per
+   (session, program). *)
+let test_session_cache_per_program () =
+  let policy = Policy.allow [ 0 ] in
+  let d = driver ~policy () in
+  let other = "u" and other_mode = Dynamic.Timed and other_fuel = 3 in
+  send d
+    (Wire.Open_session
+       {
+         Wire.session = other;
+         allowed = Option.get (Policy.allowed_indices policy);
+         mode = other_mode;
+         fuel = other_fuel;
+         guard_retries = Guard.default.Guard.retries;
+         journaled = false;
+       });
+  step d;
+  let programs =
+    List.map Paper.find [ "ex7"; "ex8"; "direct-flow"; "forgetting" ]
+  in
+  let inputs =
+    Array.of_list
+      (List.of_seq (Space.enumerate (List.hd programs).Paper.space))
+  in
+  (* (request id, session, program, inputs), in send order *)
+  let sent = ref [] in
+  let next = ref 0 in
+  let request session (entry : Paper.entry) a =
+    let id = !next in
+    incr next;
+    sent := (id, session, entry, a) :: !sent;
+    send d
+      (Wire.Enforce
+         {
+           Wire.session;
+           request_id = id;
+           program = entry.Paper.name;
+           inputs = a;
+           deadline_us = -1;
+         })
+  in
+  for _ = 1 to 3 do
+    Array.iter
+      (fun a ->
+        List.iter (fun entry -> request session_name entry a) programs;
+        request other (List.hd programs) a;
+        settle ~rounds:2 d)
+      inputs
+  done;
+  let clean_other (entry : Paper.entry) a =
+    Mechanism.respond
+      (Dynamic.mechanism
+         (Dynamic.config ~fuel:other_fuel ~mode:other_mode
+            (Policy.allow_set (Option.get (Policy.allowed_indices policy))))
+         (Paper.graph entry))
+      a
+  in
+  List.iter
+    (fun (id, session, (entry : Paper.entry), a) ->
+      let got = reply_of d id in
+      let want =
+        if session = session_name then clean_reply entry ~policy a
+        else clean_other entry a
+      in
+      if got <> want then
+        Alcotest.failf "request %d (%s, %s): %s, clean %s" id session
+          entry.Paper.name (FReport.show_reply got) (FReport.show_reply want))
+    (List.rev !sent);
+  let m = Engine.metrics d.engine in
+  Alcotest.(check int) "one proof per (session, program)"
+    (List.length programs + 1)
+    (Metrics.counter_value m "server/cache-ikeys"
+    + Metrics.counter_value m "server/cache-exact-keys");
+  Alcotest.(check bool) "repeats hit the cache" true
+    (Metrics.counter_value m "server/session-cache-hits" > 0)
 
 (* Per-session latency histograms: one sample per executed request. *)
 let test_session_latency_histogram () =
@@ -1134,6 +1221,8 @@ let () =
             test_session_cache_out_of_space;
           Alcotest.test_case "cache-space-limit" `Quick
             test_session_cache_space_limit;
+          Alcotest.test_case "cache-per-program" `Quick
+            test_session_cache_per_program;
           Alcotest.test_case "latency-histogram" `Quick
             test_session_latency_histogram;
         ] );
