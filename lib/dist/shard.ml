@@ -122,10 +122,11 @@ let mechanism t =
   in
   match t.residual with
   | Some plan ->
+      let run =
+        Dynamic.run_residual t.dcfg ~watch:plan.Certifier.watch t.graph
+      in
       Mechanism.make ~name ~arity:t.slice.arity (fun a ->
-          let reply, stats =
-            Dynamic.run_residual t.dcfg ~watch:plan.Certifier.watch t.graph a
-          in
+          let reply, stats = run a in
           t.last_stats <- stats;
           reply)
   | None ->

@@ -23,56 +23,59 @@ let plain_fault = function
       finish (Program.Fault (monitor_fault_prefix ^ "state corruption detected"))
   | Hook.Starve -> finish Program.Diverged
 
+(* [max_reg] is computed once, when the runner is applied to the graph. *)
 let run_graph ?(fuel = default_fuel) ?(cost = Expr.Uniform)
-    ?(hook = Hook.none) ?(emit = Emit.none) g inputs =
-  if Array.length inputs <> g.Graph.arity then
-    arity_fault "run_graph" g.Graph.name ~expected:g.Graph.arity
-      ~got:(Array.length inputs)
-  else
-    match Store.of_values ~inputs ~max_reg:(Graph.max_reg g) with
-    | exception Invalid_argument m -> finish (Program.Fault m) 0
-    | store -> (
-        let env = Store.lookup store in
-        let last_steps = ref 0 in
-        let rec go node steps =
-          last_steps := steps;
-          match g.Graph.nodes.(node) with
-          | Graph.Start next -> go next steps
-          | Graph.Assign (v, e, next) -> (
-              match hook ~step:steps with
-              | Some a -> plain_fault a steps
-              | None ->
-                  if steps >= fuel then finish Program.Diverged steps
-                  else begin
-                    let value, extra = Expr.eval_cost cost env e in
-                    Store.set store v value;
+    ?(hook = Hook.none) ?(emit = Emit.none) g =
+  let max_reg = Graph.max_reg g in
+  fun inputs ->
+    if Array.length inputs <> g.Graph.arity then
+      arity_fault "run_graph" g.Graph.name ~expected:g.Graph.arity
+        ~got:(Array.length inputs)
+    else
+      match Store.of_values ~inputs ~max_reg with
+      | exception Invalid_argument m -> finish (Program.Fault m) 0
+      | store -> (
+          let env = Store.lookup store in
+          let last_steps = ref 0 in
+          let rec go node steps =
+            last_steps := steps;
+            match g.Graph.nodes.(node) with
+            | Graph.Start next -> go next steps
+            | Graph.Assign (v, e, next) -> (
+                match hook ~step:steps with
+                | Some a -> plain_fault a steps
+                | None ->
+                    if steps >= fuel then finish Program.Diverged steps
+                    else begin
+                      let value, extra = Expr.eval_cost cost env e in
+                      Store.set store v value;
+                      Emit.box emit ~step:steps ~node;
+                      Emit.assign emit ~step:steps ~node ~var:v ~value;
+                      go next (steps + 1 + extra)
+                    end)
+            | Graph.Decision (p, if_true, if_false) -> (
+                match hook ~step:steps with
+                | Some a -> plain_fault a steps
+                | None ->
+                    if steps >= fuel then finish Program.Diverged steps
+                    else begin
+                      let taken, extra = Expr.eval_pred_cost cost env p in
+                      Emit.box emit ~step:steps ~node;
+                      go (if taken then if_true else if_false) (steps + 1 + extra)
+                    end)
+            | Graph.Halt -> (
+                match hook ~step:steps with
+                | Some a -> plain_fault a steps
+                | None ->
                     Emit.box emit ~step:steps ~node;
-                    Emit.assign emit ~step:steps ~node ~var:v ~value;
-                    go next (steps + 1 + extra)
-                  end)
-          | Graph.Decision (p, if_true, if_false) -> (
-              match hook ~step:steps with
-              | Some a -> plain_fault a steps
-              | None ->
-                  if steps >= fuel then finish Program.Diverged steps
-                  else begin
-                    let taken, extra = Expr.eval_pred_cost cost env p in
-                    Emit.box emit ~step:steps ~node;
-                    go (if taken then if_true else if_false) (steps + 1 + extra)
-                  end)
-          | Graph.Halt -> (
-              match hook ~step:steps with
-              | Some a -> plain_fault a steps
-              | None ->
-                  Emit.box emit ~step:steps ~node;
-                  finish (Program.Value (Value.Int (Store.output store))) steps)
-          | Graph.Halt_violation notice ->
-              Emit.box emit ~step:steps ~node;
-              finish (Program.Fault (violation_prefix ^ notice)) steps
-        in
-        try go g.Graph.entry 0
-        with Expr.Runtime_fault e ->
-          finish (Program.Fault (Expr.error_message e)) !last_steps)
+                    finish (Program.Value (Value.Int (Store.output store))) steps)
+            | Graph.Halt_violation notice ->
+                Emit.box emit ~step:steps ~node;
+                finish (Program.Fault (violation_prefix ^ notice)) steps
+          in
+          try go g.Graph.entry 0
+          with Expr.Runtime_fault e ->
+            finish (Program.Fault (Expr.error_message e)) !last_steps)
 
 let run_ast ?(fuel = default_fuel) ?(cost = Expr.Uniform) ?(hook = Hook.none)
     (p : Ast.prog) inputs =
@@ -142,8 +145,9 @@ let reply_of_outcome (o : Program.outcome) =
   { Mechanism.response; steps = o.Program.steps }
 
 let graph_mechanism ?fuel ?hook ?emit g =
+  let run = run_graph ?fuel ?hook ?emit g in
   Secpol_core.Mechanism.make ~name:g.Graph.name ~arity:g.Graph.arity (fun a ->
-      reply_of_outcome (run_graph ?fuel ?hook ?emit g a))
+      reply_of_outcome (run a))
 
 let ast_program ?fuel ?cost ?hook (p : Ast.prog) =
   Program.make ~name:p.Ast.name ~arity:p.Ast.arity (run_ast ?fuel ?cost ?hook p)

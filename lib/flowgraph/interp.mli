@@ -36,7 +36,8 @@ val run_graph :
 (** Execute a flowchart. A [Halt_violation] box produces a
     [Fault] outcome tagged ["violation:<notice>"]; plain programs never
     contain one, and {!graph_mechanism} maps it back to a proper violation
-    reply. *)
+    reply. The per-graph set-up is done when applied to the graph, so
+    [let run = run_graph g] pays it once for any number of runs. *)
 
 val run_ast :
   ?fuel:int ->

@@ -63,9 +63,11 @@ let monitored cfg g =
       in
       if not cfg.residual then Dynamic.mechanism dcfg g
       else begin
-        (* The certifier's watch plan is fixed per (graph, policy) pair;
-           compute it once here, outside the respond path. *)
+        (* The certifier's watch plan and the prepared residual monitor are
+           fixed per (graph, policy) pair; build them once here, outside the
+           respond path. *)
         let plan = Certifier.residual_plan ~allowed:dcfg.Dynamic.allowed g in
+        let run = Dynamic.run_residual dcfg ~watch:plan.Certifier.watch g in
         let record stats =
           match cfg.metrics with
           | None -> ()
@@ -85,9 +87,7 @@ let monitored cfg g =
                g.Graph.name)
           ~arity:g.Graph.arity
           (fun a ->
-            let reply, stats =
-              Dynamic.run_residual dcfg ~watch:plan.Certifier.watch g a
-            in
+            let reply, stats = run a in
             record stats;
             reply)
       end

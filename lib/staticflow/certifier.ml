@@ -308,16 +308,22 @@ let default_max_checks = 2048
 let find_witness ~fuel ~allowed ~space ~max_checks g =
   let modes = [ Dynamic.Surveillance; Dynamic.High_water; Dynamic.Timed ] in
   let policy = Policy.allow_set allowed in
-  let cfgs =
-    List.map (fun mode -> (mode, Dynamic.config ~fuel ~mode policy)) modes
+  (* One prepared monitor per mode for the whole search. Its raw [respond]
+     field is total like [Dynamic.run]: a space of the wrong arity yields
+     [Failed] replies, not an exception. *)
+  let mechs =
+    List.map
+      (fun mode ->
+        (mode, Dynamic.mechanism (Dynamic.config ~fuel ~mode policy) g))
+      modes
   in
   let finding () =
     let r = Lint.check ~allowed g in
     List.find_opt (fun (f : Lint.finding) -> f.Lint.severity = Lint.Error)
       r.Lint.findings
   in
-  let condemns (mode, cfg) input =
-    let reply = Dynamic.run cfg g input in
+  let condemns (mode, m) input =
+    let reply = m.Mechanism.respond input in
     match reply.Mechanism.response with
     | Mechanism.Denied n when n <> Dynamic.fuel_notice ->
         Some
@@ -336,7 +342,7 @@ let find_witness ~fuel ~allowed ~space ~max_checks g =
       match seq () with
       | Seq.Nil -> None
       | Seq.Cons (input, rest) -> (
-          match List.find_map (fun mc -> condemns mc input) cfgs with
+          match List.find_map (fun mc -> condemns mc input) mechs with
           | Some w -> Some w
           | None -> search rest (checked + 1))
   in

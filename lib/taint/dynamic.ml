@@ -150,15 +150,15 @@ let out_of_fuel steps = reply (Mechanism.Denied fuel_notice) steps
 
 (* --- the step machine ----------------------------------------------------
 
-   The monitor as an explicit small-step machine: [prepare] fixes the
-   per-graph analyses, [start] materializes the state a run carries between
-   boxes, [step] commits exactly one box (one hook consultation, one fuel
-   check). [run] below folds the machine to a reply and is bit-identical to
-   the historical recursive interpreter — every chaos sweep and parity test
-   holds it to that. The explicit state is what makes monitored runs
-   durable: between any two [step]s the whole run is a first-class value
-   that can be imaged, journaled, and restored after a crash
-   ([Secpol_journal]). *)
+   The monitor as an explicit small-step machine: [prepare] fixes every
+   per-(config, graph) constant once, [start] materializes the state a run
+   carries between boxes, [step] commits exactly one box (one hook
+   consultation, one fuel check). [run] below folds the machine to a reply
+   and is bit-identical to the historical recursive interpreter — every
+   chaos sweep and parity test holds it to that. The explicit state is what
+   makes monitored runs durable: between any two [step]s the whole run is a
+   first-class value that can be imaged, journaled, and restored after a
+   crash ([Secpol_journal]). *)
 
 type state = {
   st_node : int;
@@ -171,9 +171,25 @@ type state = {
   st_frames : (Iset.t * int) list;
 }
 
-type machine = { m_cfg : config; m_graph : Graph.t; m_ipd : int array }
+(* Everything here depends only on (config, graph), so one machine serves
+   any number of runs — including concurrent runs on several domains: it is
+   never mutated after [prepare]. *)
+type machine = {
+  m_cfg : config;
+  m_graph : Graph.t;
+  m_ipd : int array;
+  m_max_reg : int;
+  (* Per node, the variables its surveillance rule reads: the right-hand
+     side of an assignment, the predicate of a decision, none otherwise. *)
+  m_srcs : Var.Set.t array;
+}
 
 type step_result = Step of state | Final of Mechanism.reply
+
+let node_srcs = function
+  | Graph.Assign (_, e, _) -> Expr.vars e
+  | Graph.Decision (p, _, _) -> Expr.pred_vars p
+  | Graph.Start _ | Graph.Halt | Graph.Halt_violation _ -> Var.Set.empty
 
 let prepare cfg g =
   let ipd =
@@ -181,7 +197,13 @@ let prepare cfg g =
     | Scoped -> Graphalgo.immediate_postdominator g
     | High_water | Surveillance | Timed -> [||]
   in
-  { m_cfg = cfg; m_graph = g; m_ipd = ipd }
+  {
+    m_cfg = cfg;
+    m_graph = g;
+    m_ipd = ipd;
+    m_max_reg = Graph.max_reg g;
+    m_srcs = Array.map node_srcs g.Graph.nodes;
+  }
 
 let machine_config m = m.m_cfg
 let machine_graph m = m.m_graph
@@ -198,11 +220,11 @@ let start m inputs =
                g.Graph.name g.Graph.arity (Array.length inputs)))
          0)
   else
-    match Store.of_values ~inputs ~max_reg:(Graph.max_reg g) with
+    match Store.of_values ~inputs ~max_reg:m.m_max_reg with
     | exception Invalid_argument msg -> Error (reply (Mechanism.Failed msg) 0)
     | store ->
         let taints =
-          Taint_store.create ~arity:g.Graph.arity ~max_reg:(Graph.max_reg g)
+          Taint_store.create ~arity:g.Graph.arity ~max_reg:m.m_max_reg
         in
         (* The start box costs no step and consults no hook; cross it here
            so every [step] commits a real box. (Graph.validate guarantees a
@@ -278,7 +300,7 @@ let step m st =
         | None ->
             if steps >= cfg.fuel then Final (out_of_fuel steps)
             else begin
-              let vs = Expr.vars e in
+              let vs = m.m_srcs.(st.st_node) in
               let rhs_taint = Taint_store.of_vars taints vs in
               let base = Iset.union rhs_taint pc in
               let taint =
@@ -307,7 +329,7 @@ let step m st =
         | None ->
             if steps >= cfg.fuel then Final (out_of_fuel steps)
             else begin
-              let pvs = Expr.pred_vars p in
+              let pvs = m.m_srcs.(st.st_node) in
               let test_taint = Taint_store.of_vars taints pvs in
               match cfg.mode with
               | Timed when not (ok (Iset.union test_taint pc)) ->
@@ -378,9 +400,10 @@ let run_to_end m st =
   let rec loop st = match step m st with Step st -> loop st | Final r -> r in
   loop st
 
-let run cfg g inputs =
-  let m = prepare cfg g in
+let respond m inputs =
   match start m inputs with Error r -> r | Ok st -> run_to_end m st
+
+let run cfg g inputs = respond (prepare cfg g) inputs
 
 (* --- serializable state images ------------------------------------------
 
@@ -572,31 +595,7 @@ let out_taint ?(fuel = Interp.default_fuel) g inputs =
 
 type residual_stats = { watched_boxes : int; skipped_boxes : int }
 
-let rec run_residual cfg ~watch g inputs =
-  if cfg.chatty_notices then
-    invalid_arg
-      "Dynamic.run_residual: chatty notices quote taint values the residual \
-       monitor does not track";
-  if Array.length watch <> Array.length g.Graph.nodes then
-    invalid_arg
-      (Printf.sprintf
-         "Dynamic.run_residual %s: plan covers %d nodes, graph has %d"
-         g.Graph.name (Array.length watch)
-         (Array.length g.Graph.nodes));
-  let m = prepare cfg g in
-  let watched = ref 0 and skipped = ref 0 in
-  let commit node = incr (if watch.(node) then watched else skipped) in
-  let rec go st =
-    match residual_step m ~watch ~commit st with
-    | Step st -> go st
-    | Final r -> r
-  in
-  let reply =
-    match start m inputs with Error r -> r | Ok st -> go st
-  in
-  (reply, { watched_boxes = !watched; skipped_boxes = !skipped })
-
-and residual_step m ~watch ~commit st =
+let residual_step m ~watch ~commit st =
   let cfg = m.m_cfg and g = m.m_graph in
   let steps = st.st_steps in
   let pc, frames =
@@ -641,7 +640,7 @@ and residual_step m ~watch ~commit st =
               commit st.st_node;
               let taint =
                 if watch.(st.st_node) then begin
-                  let vs = Expr.vars e in
+                  let vs = m.m_srcs.(st.st_node) in
                   let rhs_taint = Taint_store.of_vars taints vs in
                   let base = Iset.union rhs_taint pc in
                   match cfg.mode with
@@ -656,7 +655,7 @@ and residual_step m ~watch ~commit st =
               Emit.box cfg.emit ~step:steps ~node:st.st_node;
               if watch.(st.st_node) then
                 Emit.taint cfg.emit ~step:steps ~node:st.st_node ~var:v ~taint
-                  ~srcs:(Expr.vars e);
+                  ~srcs:m.m_srcs.(st.st_node);
               Step
                 {
                   st with
@@ -681,7 +680,7 @@ and residual_step m ~watch ~commit st =
                 else frames
               in
               if watch.(st.st_node) then begin
-                let pvs = Expr.pred_vars p in
+                let pvs = m.m_srcs.(st.st_node) in
                 let test_taint = Taint_store.of_vars taints pvs in
                 match cfg.mode with
                 | Timed when not (ok (Iset.union test_taint pc)) ->
@@ -744,11 +743,36 @@ and residual_step m ~watch ~commit st =
   with Expr.Runtime_fault e ->
     Final (reply (Mechanism.Failed (Expr.error_message e)) steps)
 
+(* Validation and [prepare] happen once, when applied to the graph; the
+   returned function only runs. *)
+let run_residual cfg ~watch g =
+  if cfg.chatty_notices then
+    invalid_arg
+      "Dynamic.run_residual: chatty notices quote taint values the residual \
+       monitor does not track";
+  if Array.length watch <> Array.length g.Graph.nodes then
+    invalid_arg
+      (Printf.sprintf
+         "Dynamic.run_residual %s: plan covers %d nodes, graph has %d"
+         g.Graph.name (Array.length watch)
+         (Array.length g.Graph.nodes));
+  let m = prepare cfg g in
+  fun inputs ->
+    let watched = ref 0 and skipped = ref 0 in
+    let commit node = incr (if watch.(node) then watched else skipped) in
+    let rec go st =
+      match residual_step m ~watch ~commit st with
+      | Step st -> go st
+      | Final r -> r
+    in
+    let reply = match start m inputs with Error r -> r | Ok st -> go st in
+    (reply, { watched_boxes = !watched; skipped_boxes = !skipped })
+
 let mechanism cfg g =
   Mechanism.make
     ~name:(Printf.sprintf "%s(%s)" (mode_name cfg.mode) g.Graph.name)
     ~arity:g.Graph.arity
-    (fun a -> run cfg g a)
+    (respond (prepare cfg g))
 
 let mechanism_of ?fuel ?cost ?hook ?emit ~mode policy g =
   mechanism (config ?fuel ?cost ?hook ?emit ~mode policy) g

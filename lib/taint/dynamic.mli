@@ -95,7 +95,10 @@ val config :
 
 val run :
   config -> Graph.t -> Secpol_core.Value.t array -> Secpol_core.Mechanism.reply
-(** One monitored execution. Steps follow the same cost model as the plain
+(** One monitored execution: the one-shot form, [prepare] + {!start} +
+    {!run_to_end}, paying the per-graph preparation on every call. A loop
+    over many inputs of one program should build {!mechanism} once and
+    respond with it instead. Steps follow the same cost model as the plain
     interpreter (one per assignment or decision box), so timing-channel
     experiments can compare monitored and unmonitored runs.
 
@@ -129,9 +132,14 @@ val run_residual :
     not. Trace events still fire but carry residual taint values, so
     provenance from a residual run is partial by design.
 
-    @raise Invalid_argument if [cfg.chatty_notices] is set (chatty notices
-    quote taint values the residual monitor does not maintain) or if the
-    plan's length differs from the graph's node count. *)
+    The plan is validated and the monitor prepared when [run_residual] is
+    applied to the graph: [let run = run_residual cfg ~watch g] does that
+    work once, and each [run inputs] only executes.
+
+    @raise Invalid_argument when applied to the graph, if
+    [cfg.chatty_notices] is set (chatty notices quote taint values the
+    residual monitor does not maintain) or if the plan's length differs
+    from the graph's node count. *)
 
 (** {2 The step machine}
 
@@ -156,8 +164,12 @@ type state
 type step_result = Step of state | Final of Secpol_core.Mechanism.reply
 
 val prepare : config -> Graph.t -> machine
-(** Fix the per-graph analyses (immediate postdominators for [Scoped]
-    mode); pure in the graph, reusable across runs. *)
+(** Fix every per-(config, graph) constant of the monitor: the immediate
+    postdominators ([Scoped] mode only), the highest register, and each
+    node's source-variable set (the variables an assignment's right-hand
+    side or a decision's predicate reads). Pure in the graph; the machine
+    is never mutated afterwards, so it is reusable across runs and safe to
+    share between domains. *)
 
 val machine_config : machine -> config
 
@@ -217,7 +229,10 @@ val of_image : Graph.t -> image -> (state, string) result
 val image_equal : image -> image -> bool
 
 val mechanism : config -> Graph.t -> Secpol_core.Mechanism.t
-(** Package as a protection mechanism for the flowchart's program. *)
+(** Package as a protection mechanism for the flowchart's program. The
+    monitor is prepared once, here; each response does only {!start} and
+    {!run_to_end}, and replies are those of {!run}. One mechanism may answer
+    from several domains at once. *)
 
 val mechanism_of :
   ?fuel:int ->

@@ -404,6 +404,34 @@ let test_non_allow_policy_rejected () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "filter policy must be rejected by instrumentation"
 
+(* One mechanism holds one prepared machine, shared by every run it
+   answers — across points in any order and across the engine's domains.
+   Any per-run state leaking into the machine would make a reply depend on
+   the runs before it: replaying the space forwards, then backwards, then
+   on two domains must give what a fresh one-shot run gives. *)
+let prop_shared_machine_is_stateless =
+  let space = Space.ints ~lo:0 ~hi:3 ~arity:2 in
+  qtest ~count:100 "one prepared machine answers like fresh runs, in any order"
+    (Generator.arbitrary Generator.default)
+    (fun prog ->
+      let g = Compile.compile prog in
+      let points = List.of_seq (Space.enumerate space) in
+      List.for_all
+        (fun policy ->
+          List.for_all
+            (fun mode ->
+              let cfg = Dynamic.config ~mode policy in
+              let m = Dynamic.mechanism cfg g in
+              let agrees a = Mechanism.respond m a = Dynamic.run cfg g a in
+              let verdict jobs =
+                fst (Secpol.Analyze.soundness (Secpol.Analyze.config ~jobs space) policy m)
+              in
+              List.for_all agrees points
+              && List.for_all agrees (List.rev points)
+              && verdict 2 = verdict 1)
+            Dynamic.all_modes)
+        policy_cases)
+
 let () =
   Alcotest.run "secpol-taint"
     [
@@ -447,4 +475,5 @@ let () =
           prop_modes_are_protection_mechanisms;
           prop_maximal_dominates_surveillance;
         ] );
+      ("machine", [ prop_shared_machine_is_stateless ]);
     ]
