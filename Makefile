@@ -118,6 +118,11 @@ bench-json:
 perfbench-smoke:
 	python3 perfbench/smoke.py
 
+# Lines of lib/ .ml + .mli, the size measure a simplification is judged
+# by: the same behaviour from fewer lines.
+loc:
+	@find lib \( -name '*.ml' -o -name '*.mli' \) -exec cat {} + | wc -l
+
 examples:
 	dune exec examples/quickstart.exe
 	dune exec examples/payroll_audit.exe
@@ -134,4 +139,4 @@ doc:
 clean:
 	dune clean
 
-.PHONY: all test test-force lint-corpus certify-corpus chaos chaos-crash chaos-dist serve-chaos chaos-par refine-diff experiments bench bench-json perfbench-smoke examples doc clean
+.PHONY: all test test-force lint-corpus certify-corpus chaos chaos-crash chaos-dist serve-chaos chaos-par refine-diff experiments bench bench-json perfbench-smoke loc examples doc clean

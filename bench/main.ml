@@ -365,7 +365,7 @@ let server_tests =
     wait 10
   in
   (* Pre-warm the registry so the scrape row prices a realistic payload:
-     per-session series, latency histograms, cache counters all present. *)
+     per-session series and latency histograms all present. *)
   for _ = 1 to 64 do
     ignore (roundtrip ())
   done;

@@ -1569,9 +1569,9 @@ let top_cmd =
     (Cmd.info "top"
        ~doc:
          "Live dashboard over a daemon's /metrics: one row per session \
-          with request rate, p50/p99 latency, sheds, verdict-cache hits \
-          and breaker state. Scrapes the metrics address every --interval \
-          seconds, or replays recorded JSONL frames with --from. Exits 0, \
+          with request rate, p50/p99 latency, sheds and breaker state. \
+          Scrapes the metrics address every --interval seconds, or \
+          replays recorded JSONL frames with --from. Exits 0, \
           1 when a scrape fails, 2 on usage errors.")
     Term.(
       const run $ socket $ tcp $ from $ interval $ frames $ once $ no_clear)

@@ -4,103 +4,37 @@ type key = {
   projection : Secpol_core.Value.t;
 }
 
-(* Resident verdicts live on an intrusive doubly-linked recency list:
-   [head] is the most recently touched node, [tail] the least — the one a
-   full cache evicts. [Pending] slots (first requester off computing the
-   verdict outside the lock) are not on the list and are never evicted;
-   waiters sleep on [cond] until the slot flips to [Done] — or
-   disappears, which means the computation raised and the next requester
-   should try again. *)
-type node = {
-  nkey : key;
-  value : Secpol_core.Mechanism.reply;
-  mutable prev : node option;  (* toward head (more recent) *)
-  mutable next : node option;  (* toward tail (less recent) *)
-}
-
-type slot = Done of node | Pending
+(* [Pending] slots mark a first requester off computing the verdict
+   outside the lock; waiters sleep on [cond] until the slot flips to
+   [Done] — or disappears, which means the computation raised and the
+   next requester should try again. *)
+type slot = Done of Secpol_core.Mechanism.reply | Pending
 
 type t = {
   table : (key, slot) Hashtbl.t;
-  capacity : int option;  (* max resident (Done) entries; None = unbounded *)
-  mutable head : node option;
-  mutable tail : node option;
-  mutable resident : int;  (* Done entries only; table also holds Pending *)
   lock : Mutex.t;
   cond : Condition.t;
   mutable hit_count : int;
   mutable miss_count : int;
-  mutable eviction_count : int;
 }
 
-let create ?capacity () =
-  (match capacity with
-  | Some c when c < 1 -> invalid_arg "Cache.create: capacity < 1"
-  | _ -> ());
+let create () =
   {
     table = Hashtbl.create 256;
-    capacity;
-    head = None;
-    tail = None;
-    resident = 0;
     lock = Mutex.create ();
     cond = Condition.create ();
     hit_count = 0;
     miss_count = 0;
-    eviction_count = 0;
   }
-
-(* List surgery; callers hold [lock]. *)
-
-let unlink c n =
-  (match n.prev with Some p -> p.next <- n.next | None -> c.head <- n.next);
-  (match n.next with Some s -> s.prev <- n.prev | None -> c.tail <- n.prev);
-  n.prev <- None;
-  n.next <- None
-
-let push_front c n =
-  n.prev <- None;
-  n.next <- c.head;
-  (match c.head with Some h -> h.prev <- Some n | None -> c.tail <- Some n);
-  c.head <- Some n
-
-let touch c n =
-  match c.head with
-  | Some h when h == n -> ()
-  | _ ->
-      unlink c n;
-      push_front c n
-
-(* Insert a freshly computed verdict at the front, evicting from the tail
-   while over capacity. Pending slots are off the list, so an in-flight
-   computation can never be evicted out from under its waiters. *)
-let insert c k v =
-  let n = { nkey = k; value = v; prev = None; next = None } in
-  push_front c n;
-  Hashtbl.replace c.table k (Done n);
-  c.resident <- c.resident + 1;
-  match c.capacity with
-  | None -> ()
-  | Some cap ->
-      while c.resident > cap do
-        match c.tail with
-        | None -> c.resident <- cap (* unreachable: resident nodes are listed *)
-        | Some victim ->
-            unlink c victim;
-            Hashtbl.remove c.table victim.nkey;
-            c.resident <- c.resident - 1;
-            c.eviction_count <- c.eviction_count + 1
-      done
 
 let find_or_compute c key f =
   Mutex.lock c.lock;
   let rec acquire () =
     match Hashtbl.find_opt c.table key with
-    | Some (Done n) ->
-        touch c n;
+    | Some (Done v) ->
         c.hit_count <- c.hit_count + 1;
         Mutex.unlock c.lock;
-        n.value
+        v
     | Some Pending ->
         Condition.wait c.cond c.lock;
         acquire ()
@@ -118,37 +52,13 @@ let find_or_compute c key f =
             Printexc.raise_with_backtrace exn bt
         in
         Mutex.lock c.lock;
-        insert c key v;
+        Hashtbl.replace c.table key (Done v);
         c.miss_count <- c.miss_count + 1;
         Condition.broadcast c.cond;
         Mutex.unlock c.lock;
         v
   in
   acquire ()
-
-let find c key =
-  Mutex.lock c.lock;
-  let r =
-    match Hashtbl.find_opt c.table key with
-    | Some (Done n) ->
-        touch c n;
-        c.hit_count <- c.hit_count + 1;
-        Some n.value
-    | Some Pending | None ->
-        c.miss_count <- c.miss_count + 1;
-        None
-  in
-  Mutex.unlock c.lock;
-  r
-
-let store c key v =
-  Mutex.lock c.lock;
-  (* Never overwrite: a resident verdict (or one being computed under
-     [find_or_compute]'s compute-once discipline) wins. *)
-  (match Hashtbl.find_opt c.table key with
-  | Some (Done _ | Pending) -> ()
-  | None -> insert c key v);
-  Mutex.unlock c.lock
 
 let hits c =
   Mutex.lock c.lock;
@@ -159,12 +69,6 @@ let hits c =
 let misses c =
   Mutex.lock c.lock;
   let n = c.miss_count in
-  Mutex.unlock c.lock;
-  n
-
-let evictions c =
-  Mutex.lock c.lock;
-  let n = c.eviction_count in
   Mutex.unlock c.lock;
   n
 

@@ -1,5 +1,4 @@
-(** A domain-safe verdict cache with compute-once semantics and an
-    optional LRU bound.
+(** A domain-safe verdict cache with compute-once semantics.
 
     Keys are [(digest, tag, projection)]: the MD5 digest of the program,
     a caller-built configuration fingerprint (mode, fuel, policy, ...),
@@ -15,13 +14,9 @@
     counters can appear in reports that promise byte-identical output
     across [--jobs].
 
-    {b Bounding}: with [~capacity] the cache holds at most that many
-    settled verdicts and evicts the least recently used one on overflow
-    (an in-flight computation is never evicted). Eviction only forgets —
-    a later request recomputes and re-inserts — so a bounded cache stays
-    sound; callers fed attacker-chosen keys (the per-session verdict
-    cache of [Server.Session]) must bound, while exhaustive drivers over
-    a finite space ({!Memo}, the certifier) may stay unbounded. *)
+    {b Unbounded}: its callers ({!Memo}, the sweeps, the certifier and
+    [Analyze]) run over finite input spaces, so the cache never evicts;
+    it holds one verdict per distinct key requested. *)
 
 type t
 
@@ -32,10 +27,7 @@ type key = {
       (** what the cached verdict is a function of *)
 }
 
-val create : ?capacity:int -> unit -> t
-(** [create ()] is unbounded; [create ~capacity ()] keeps at most
-    [capacity] settled verdicts, LRU-evicted.
-    @raise Invalid_argument if [capacity < 1]. *)
+val create : unit -> t
 
 val find_or_compute :
   t -> key -> (unit -> Secpol_core.Mechanism.reply) -> Secpol_core.Mechanism.reply
@@ -44,22 +36,9 @@ val find_or_compute :
     key is released, every waiter is woken, and the exception propagates —
     the next requester retries the computation. *)
 
-val find : t -> key -> Secpol_core.Mechanism.reply option
-(** Non-blocking lookup. Counts a hit or a miss; never waits on a
-    pending computation (a pending key reads as a miss). Lets callers
-    that must not cache every reply — e.g. a session cache that skips
-    transient [Hung]/[Failed] verdicts — pair it with {!store}. *)
-
-val store : t -> key -> Secpol_core.Mechanism.reply -> unit
-(** Insert if absent; a resident or pending verdict is never
-    overwritten. *)
-
 val hits : t -> int
 
 val misses : t -> int
-(** Completed first-computations plus {!find} lookups that missed. *)
-
-val evictions : t -> int
-(** Verdicts dropped by the LRU bound; always [0] when unbounded. *)
+(** Completed first-computations. *)
 
 val size : t -> int

@@ -1,8 +1,4 @@
 module Mechanism = Secpol_core.Mechanism
-module Policy = Secpol_core.Policy
-module Soundness = Secpol_core.Soundness
-module Space = Secpol_core.Space
-module Value = Secpol_core.Value
 module Dynamic = Secpol_taint.Dynamic
 module Graph = Secpol_flowgraph.Graph
 module Hook = Secpol_flowgraph.Hook
@@ -15,7 +11,6 @@ module Sink = Secpol_trace.Sink
 module Event = Secpol_trace.Event
 module Metrics = Secpol_trace.Metrics
 module Pool = Secpol_engine.Pool
-module Cache = Secpol_engine.Cache
 module Json = Secpol_staticflow.Lint.Json
 
 exception Died
@@ -31,8 +26,6 @@ type config = {
   breaker_threshold : int;
   breaker_cooldown : float;
   snapshot_every : int;
-  session_cache : bool;
-  ikey_space_limit : int;
   hook : Hook.t;
 }
 
@@ -48,8 +41,6 @@ let default_config =
     breaker_threshold = 3;
     breaker_cooldown = 0.5;
     snapshot_every = Runner.default_snapshot_every;
-    session_cache = true;
-    ikey_space_limit = 4096;
     hook = Hook.none;
   }
 
@@ -63,23 +54,21 @@ type conn = {
 
 (* A corpus program as the engine serves it: resolved once, on the first
    request (or recovery) that names it. [digest] is [Runner.graph_hash
-   graph], the program's half of every cache key and journal header. *)
-type program = { graph : Graph.t; space : Space.t; digest : string }
+   graph], which every journal header of the program carries. *)
+type program = { graph : Graph.t; digest : string }
 
 (* Everything the request path needs that is constant per (session,
    program), built once on the first enforce request for the pair. *)
 type plan = {
   prog : program;
-  ikey : bool;
-      (* the verdict cache may key on the I-projection of in-space inputs:
-         the session mechanism is proven timed-view sound for its policy *)
-  tag_ikey : string;  (* cache-key tags: "mode|fuel=N|I" ... *)
-  tag_exact : string;  (* ... and "mode|fuel=N|exact" *)
   dcfg : Dynamic.config;  (* the session's monitor, traced into the sink *)
   mech : Mechanism.t;
       (* Dynamic over [dcfg]: the base the guard wraps in an unjournaled
          session — the same two layers Run.mechanism composes, so a served
          verdict is bit-identical to a local run under the same config *)
+  requests : Metrics.counter;  (* server/session/<s>/requests *)
+  granted : Metrics.counter;  (* server/session/<s>/granted *)
+  latency : Metrics.histogram;  (* server/session/<s>/latency-us *)
 }
 
 type work = {
@@ -87,7 +76,6 @@ type work = {
   w_plan : plan;
   w_session : Session.t;
   w_arrival : float;  (* admission instant, for the latency histograms *)
-  w_ckey : Cache.key option;  (* session verdict-cache key; [None] = don't cache *)
 }
 
 type t = {
@@ -130,9 +118,7 @@ let program_of t name =
       match Paper.find name with
       | entry ->
           let graph = Paper.graph entry in
-          let p =
-            { graph; space = entry.Paper.space; digest = Runner.graph_hash graph }
-          in
+          let p = { graph; digest = Runner.graph_hash graph } in
           Hashtbl.add t.programs name p;
           Some p
       | exception Not_found -> None)
@@ -275,139 +261,32 @@ let recovery_reply =
   { Mechanism.response = Mechanism.Denied Guard.recovery_notice; steps = 0 }
 
 let sname session what = Printf.sprintf "server/session/%s/%s" session what
-let sbump ?by t session what = bump ?by t (sname session what)
 
-(* ---------- cross-request session verdict cache ---------- *)
-
-(* The cache key may collapse inputs to their I-projection only when that
-   is {e proven} for this session's mechanism: sound under the timed view,
-   so the whole reply — steps included — is constant per I-class and a
-   cached representative is bit-identical to a fresh run (DESIGN §13). The
-   proof is the exhaustive Soundness check over the program's corpus
-   space, run once per (session, program) on the clean mechanism; when it
-   fails the key falls back to the full input vector, which is sound for
-   any mechanism.
-
-   The proof runs synchronously on the serving loop, so it is bounded:
-   a space larger than [ikey_space_limit] (or whose size overflows) is
-   never enumerated on the request path — the session simply keys on
-   exact inputs, which costs cache density, never correctness or
-   latency. *)
-let ikey_proof t (session : Session.t) (p : program) =
-  let b =
-    let provable =
-      match Space.size p.space with
-      | n -> n <= t.cfg.ikey_space_limit
-      | exception Invalid_argument _ -> false
-    in
-    if not provable then begin
-      bump t "server/cache-ikey-skips";
-      false
-    end
-    else
-      let policy = Session.policy session in
-      let m =
-        Dynamic.mechanism
-          (Dynamic.config ~fuel:session.Session.spec.Wire.fuel
-             ~mode:session.Session.spec.Wire.mode policy)
-          p.graph
-      in
-      Soundness.is_sound ~config:Soundness.timed policy m p.space
-  in
-  bump t (if b then "server/cache-ikeys" else "server/cache-exact-keys");
-  b
-
-(* Built on the first enforce request for the pair. The I-key proof runs
-   here only for sessions that will consult the cache (cache on,
-   unjournaled) — the request that would first have built a cache key. *)
+(* Built on the first enforce request for the pair. *)
 let plan_of t (session : Session.t) name (prog : program) =
   let key = (Session.name session, name) in
   match Hashtbl.find_opt t.plans key with
   | Some pl -> pl
   | None ->
       let spec = session.Session.spec in
-      let tag k =
-        Printf.sprintf "%s|fuel=%d|%s" (Dynamic.mode_name spec.Wire.mode)
-          spec.Wire.fuel k
-      in
       let dcfg =
         Dynamic.config ~fuel:spec.Wire.fuel ~hook:t.cfg.hook
           ~emit:(Sink.emitter ~graph:prog.graph t.sink)
           ~mode:spec.Wire.mode (Session.policy session)
       in
+      let series = sname (Session.name session) in
       let pl =
         {
           prog;
-          ikey =
-            t.cfg.session_cache && (not spec.Wire.journaled)
-            && ikey_proof t session prog;
-          tag_ikey = tag "I";
-          tag_exact = tag "exact";
           dcfg;
           mech = Dynamic.mechanism dcfg prog.graph;
+          requests = Metrics.counter t.ms (series "requests");
+          granted = Metrics.counter t.ms (series "granted");
+          latency = Metrics.histogram t.ms (series "latency-us");
         }
       in
       Hashtbl.add t.plans key pl;
       pl
-
-let cache_key t (session : Session.t) (pl : plan) inputs =
-  (* The soundness proof quantifies over the corpus space only, so the
-     I-projection covers exactly the inputs in that space. An arbitrary
-     wire input outside it must key on the full vector: its Policy.image
-     may collide with an in-space input's class, and replaying that
-     class's cached verdict for it is exactly the enforcement hole the
-     proof does not rule out. *)
-  let ikey =
-    pl.ikey
-    &&
-    if Space.mem pl.prog.space inputs then true
-    else begin
-      bump t "server/cache-out-of-space";
-      false
-    end
-  in
-  if ikey then
-    {
-      Cache.digest = pl.prog.digest;
-      tag = pl.tag_ikey;
-      projection = Policy.image (Session.policy session) inputs;
-    }
-  else
-    {
-      Cache.digest = pl.prog.digest;
-      tag = pl.tag_exact;
-      projection = Value.tuple (Array.to_list inputs);
-    }
-
-(* Only settled monitor verdicts are cached: grants and policy denials are
-   deterministic functions of the key, while [Λ/degraded]/[Λ/recovery]/
-   [Λ/overload], [Hung] and [Failed] describe the infrastructure of one
-   particular attempt — caching those would make a transient fault
-   permanent. *)
-let cacheable (reply : Mechanism.reply) =
-  match reply.Mechanism.response with
-  | Mechanism.Granted _ -> true
-  | Mechanism.Denied n ->
-      n <> Guard.degraded_notice && n <> Guard.recovery_notice
-      && n <> Wire.overload_notice
-  | Mechanism.Hung | Mechanism.Failed _ -> false
-
-(* Surface the session cache's own hit/miss counts as monotone counters,
-   per session and in aggregate. Counters only move forward, so publish
-   the delta since the last sync. *)
-let sync_cache_counters t (session : Session.t) =
-  let name = Session.name session in
-  let sync what v =
-    let n = sname name what in
-    let d = v - Metrics.counter_value t.ms n in
-    if d > 0 then begin
-      bump ~by:d t n;
-      bump ~by:d t ("server/session-" ^ what)
-    end
-  in
-  sync "cache-hits" (Cache.hits session.Session.cache);
-  sync "cache-misses" (Cache.misses session.Session.cache);
-  sync "cache-evictions" (Cache.evictions session.Session.cache)
 
 (* Answer [e] with Λ/overload. [cause] names why, in the event detail and
    in the server/shed-<cause> counter: an admission reason, or "breaker"
@@ -430,7 +309,7 @@ let shed t ?(kind = Event.Shed) (e : work Admission.entry) cause =
        });
   bump t "server/shed";
   bump t ("server/shed-" ^ cause);
-  sbump t e.Admission.session "sheds"
+  bump t (sname e.Admission.session "sheds")
 
 let shed_admission t e reason =
   let kind =
@@ -454,18 +333,13 @@ let handle_enforce t (cn : conn) ~now (e : Wire.enforce) =
                Graph.(p.graph.arity) (Array.length e.Wire.inputs) e.Wire.request_id)
       | Some p ->
           bump t "server/requests";
-          sbump t e.Wire.session "requests";
+          let plan = plan_of t session e.Wire.program p in
+          Metrics.incr plan.requests;
           let d_us =
             if e.Wire.deadline_us < 0 then t.cfg.default_deadline_us
             else e.Wire.deadline_us
           in
           let deadline = now +. (float_of_int d_us /. 1e6) in
-          let plan = plan_of t session e.Wire.program p in
-          let ckey =
-            if t.cfg.session_cache && not session.Session.spec.Wire.journaled
-            then Some (cache_key t session plan e.Wire.inputs)
-            else None
-          in
           let decisions =
             Admission.offer t.queue ~now ~conn:cn.id ~session:e.Wire.session
               ~request_id:e.Wire.request_id ~deadline
@@ -474,7 +348,6 @@ let handle_enforce t (cn : conn) ~now (e : Wire.enforce) =
                 w_plan = plan;
                 w_session = session;
                 w_arrival = now;
-                w_ckey = ckey;
               }
           in
           List.iter
@@ -484,14 +357,15 @@ let handle_enforce t (cn : conn) ~now (e : Wire.enforce) =
                   Metrics.observe
                     (Metrics.histogram t.ms "server/queue-depth")
                     (Admission.length t.queue);
-                  emit t
-                    (Event.Server
-                       {
-                         kind = Event.Admit;
-                         conn = a.Admission.conn;
-                         session = a.Admission.session;
-                         detail = Printf.sprintf "request %d" a.Admission.request_id;
-                       })
+                  if not (Sink.is_null t.sink) then
+                    emit t
+                      (Event.Server
+                         {
+                           kind = Event.Admit;
+                           conn = a.Admission.conn;
+                           session = a.Admission.session;
+                           detail = Printf.sprintf "request %d" a.Admission.request_id;
+                         })
               | `Shed (v, reason) -> shed_admission t v reason)
             decisions)
 
@@ -614,30 +488,17 @@ let execute_one t (w : work) inputs =
          before box [at]; either way no guard retries a killed process. *)
       let reply = Mechanism.respond m inputs in
       (reply, false)
-  | None -> (
-      let cached =
-        match w.w_ckey with
-        | Some key -> Cache.find session.Session.cache key
-        | None -> None
+  | None ->
+      let m =
+        if session.Session.spec.Wire.journaled then
+          journaled_mechanism t session w.w_enforce w.w_plan ~kill_at:None
+        else w.w_plan.mech
       in
-      match cached with
-      | Some reply -> (reply, false)
-      | None ->
-          let m =
-            if session.Session.spec.Wire.journaled then
-              journaled_mechanism t session w.w_enforce w.w_plan ~kill_at:None
-            else w.w_plan.mech
-          in
-          let outcome, steps =
-            Guard.run ~config:(Session.guard_config session) ~sink:t.sink m inputs
-          in
-          let degraded = match outcome with Guard.Degraded _ -> true | _ -> false in
-          let reply = Guard.reply_of_outcome (outcome, steps) in
-          (match w.w_ckey with
-          | Some key when (not degraded) && cacheable reply ->
-              Cache.store session.Session.cache key reply
-          | _ -> ());
-          (reply, degraded))
+      let outcome, steps =
+        Guard.run ~config:(Session.guard_config session) ~sink:t.sink m inputs
+      in
+      let degraded = match outcome with Guard.Degraded _ -> true | _ -> false in
+      (Guard.reply_of_outcome (outcome, steps), degraded)
 
 let classify t (reply : Mechanism.reply) =
   match reply.Mechanism.response with
@@ -697,27 +558,25 @@ let execute t ~now =
         classify t reply;
         bump t "server/served";
         (match reply.Mechanism.response with
-        | Mechanism.Granted _ -> sbump t e.Admission.session "granted"
+        | Mechanism.Granted _ -> Metrics.incr w.w_plan.granted
         | Mechanism.Denied _ | Mechanism.Hung | Mechanism.Failed _ -> ());
         let latency_us =
           let us = int_of_float ((now -. w.w_arrival) *. 1e6) in
           if us < 0 then 0 else us
         in
         Metrics.observe (Metrics.histogram t.ms "server/latency-us") latency_us;
-        Metrics.observe
-          (Metrics.histogram t.ms (sname e.Admission.session "latency-us"))
-          latency_us;
-        sync_cache_counters t w.w_session;
+        Metrics.observe w.w_plan.latency latency_us;
         Metrics.observe (Metrics.histogram t.ms "server/exec-steps")
           reply.Mechanism.steps;
-        emit t
-          (Event.Server
-             {
-               kind = Event.Serve;
-               conn = e.Admission.conn;
-               session = e.Admission.session;
-               detail = Printf.sprintf "request %d" e.Admission.request_id;
-             });
+        if not (Sink.is_null t.sink) then
+          emit t
+            (Event.Server
+               {
+                 kind = Event.Serve;
+                 conn = e.Admission.conn;
+                 session = e.Admission.session;
+                 detail = Printf.sprintf "request %d" e.Admission.request_id;
+               });
         push t e.Admission.conn
           (Wire.Reply
              {

@@ -41,20 +41,6 @@ type config = {
   breaker_threshold : int;  (** consecutive degraded outcomes that trip it *)
   breaker_cooldown : float;  (** seconds the breaker stays open *)
   snapshot_every : int;  (** journal snapshot cadence for journaled runs *)
-  session_cache : bool;
-      (** cross-request verdict caching in unjournaled sessions: keyed on
-          the sound {!Secpol_engine.Memo} I-projection when the session's
-          mechanism proves timed-view sound over the program's corpus
-          space {e and} the request's inputs lie inside that space (the
-          proof quantifies over nothing else), on the full input vector
-          otherwise — either way a hit replays a bit-identical earlier
-          verdict. Default [true]. *)
-  ikey_space_limit : int;
-      (** largest corpus-space size the engine will exhaustively prove
-          timed-view soundness over on the serving loop (once per
-          session x program); bigger or unsized spaces skip the proof and
-          key on exact inputs, so a huge space can never stall the select
-          loop. Default 4096. *)
   hook : Hook.t;  (** interpreter fault hook (tests and chaos only) *)
 }
 

@@ -6,21 +6,9 @@ type t = {
   spec : Wire.open_session;
   mutable consecutive_degraded : int;
   mutable open_until : float;
-  cache : Secpol_engine.Cache.t;
 }
 
-(* The wire hands this cache attacker-chosen keys (exact input vectors of
-   any arbitrary request), so it must be bounded: LRU keeps the hot
-   verdicts, overflow recomputes. *)
-let cache_capacity = 4096
-
-let create spec =
-  {
-    spec;
-    consecutive_degraded = 0;
-    open_until = 0.;
-    cache = Secpol_engine.Cache.create ~capacity:cache_capacity ();
-  }
+let create spec = { spec; consecutive_degraded = 0; open_until = 0. }
 
 let name t = t.spec.Wire.session
 

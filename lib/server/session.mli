@@ -21,16 +21,7 @@ type t = {
   spec : Wire.open_session;
   mutable consecutive_degraded : int;
   mutable open_until : float;  (** breaker open until this instant; [0.] = closed *)
-  cache : Secpol_engine.Cache.t;
-      (** cross-request verdict cache, keyed on the sound
-          {!Secpol_engine.Memo} I-projection; bounded to
-          {!cache_capacity} verdicts (LRU) because wire inputs choose
-          the keys; dies with the session *)
 }
-
-val cache_capacity : int
-(** Verdicts a session retains at most ([4096]); beyond it the least
-    recently used is evicted and a repeat recomputes. *)
 
 val create : Wire.open_session -> t
 

@@ -73,8 +73,8 @@ let render ?prev ?(interval = 1.0) snap =
        (gauge snap "server/breakers-open"));
   let rate_label = if prev = None then "TOTAL" else "RPS" in
   Buffer.add_string b
-    (Printf.sprintf "%-16s %8s %9s %9s %7s %7s %7s %4s\n" "SESSION" rate_label
-       "P50us" "P99us" "SHEDS" "HITS" "MISS" "BRK");
+    (Printf.sprintf "%-16s %8s %9s %9s %7s %4s\n" "SESSION" rate_label "P50us"
+       "P99us" "SHEDS" "BRK");
   List.iter
     (fun s ->
       let k what = session_prefix ^ s ^ "/" ^ what in
@@ -93,10 +93,8 @@ let render ?prev ?(interval = 1.0) snap =
         | None -> (0, 0)
       in
       Buffer.add_string b
-        (Printf.sprintf "%-16s %8s %9d %9d %7d %7d %7d %4s\n" s rate p50 p99
+        (Printf.sprintf "%-16s %8s %9d %9d %7d %4s\n" s rate p50 p99
            (counter snap (k "sheds"))
-           (counter snap (k "cache-hits"))
-           (counter snap (k "cache-misses"))
            (if gauge snap (k "breaker-open") > 0 then "OPEN" else "-")))
     (sessions_of snap);
   Buffer.contents b

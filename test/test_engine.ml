@@ -101,37 +101,6 @@ let test_cache_concurrent_compute_once () =
   Alcotest.(check int) "deterministic misses" 1 (Cache.misses c);
   Alcotest.(check int) "deterministic hits" (n - 1) (Cache.hits c)
 
-(* A bounded cache holds at most [capacity] verdicts: the least recently
-   used one is evicted, a repeat of it recomputes, and a touched entry
-   survives the overflow that would otherwise have taken it. *)
-let test_cache_lru_eviction () =
-  let c = Cache.create ~capacity:2 () in
-  Cache.store c (key 0) (some_reply 0);
-  Cache.store c (key 1) (some_reply 1);
-  (* Touch key 0: key 1 becomes the LRU victim. *)
-  (match Cache.find c (key 0) with
-  | Some r ->
-      Alcotest.(check string) "touched entry intact"
-        (show_mech_reply (some_reply 0)) (show_mech_reply r)
-  | None -> Alcotest.fail "key 0 missing before overflow");
-  Cache.store c (key 2) (some_reply 2);
-  Alcotest.(check int) "capacity respected" 2 (Cache.size c);
-  Alcotest.(check int) "one eviction" 1 (Cache.evictions c);
-  Alcotest.(check bool) "LRU key evicted" true (Cache.find c (key 1) = None);
-  Alcotest.(check bool) "recently used key survived" true
-    (Cache.find c (key 0) <> None);
-  Alcotest.(check bool) "new key resident" true (Cache.find c (key 2) <> None);
-  (* The evicted key recomputes — forgetting is the only effect. *)
-  let r = Cache.find_or_compute c (key 1) (fun () -> some_reply 1) in
-  Alcotest.(check string) "evicted key recomputed"
-    (show_mech_reply (some_reply 1)) (show_mech_reply r);
-  Alcotest.(check int) "recompute evicts again" 2 (Cache.evictions c);
-  Alcotest.(check bool) "unbounded cache never evicts" true
-    (Cache.evictions (Cache.create ()) = 0);
-  Alcotest.check_raises "capacity must be positive"
-    (Invalid_argument "Cache.create: capacity < 1") (fun () ->
-      ignore (Cache.create ~capacity:0 ()))
-
 (* --- memoization ------------------------------------------------------ *)
 
 (* The satellite property, exhaustively: for every corpus program and every
@@ -370,8 +339,6 @@ let () =
             test_cache_failure_releases_key;
           Alcotest.test_case "concurrent compute-once" `Quick
             test_cache_concurrent_compute_once;
-          Alcotest.test_case "LRU bound evicts and recomputes" `Quick
-            test_cache_lru_eviction;
         ] );
       ( "memo",
         [

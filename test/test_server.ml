@@ -637,144 +637,19 @@ let test_engine_health () =
   Alcotest.(check bool) "drained reported" true h.Engine.drained;
   Alcotest.(check string) "status drained" "drained" h.Engine.status
 
-(* --- session verdict cache ------------------------------------------------- *)
+(* --- per-session parity ----------------------------------------------------- *)
 
-(* Replaying the input space through one session: replies stay
-   bit-identical to the clean monitor while the I-projection cache takes
-   the repeats, and the hit/miss counters land on the registry (both the
-   per-session series /metrics exposes and the aggregate). *)
-let test_session_verdict_cache () =
-  let entry = Paper.find "ex7" in
-  let policy = Policy.allow [ 0 ] in
-  let d = driver ~policy () in
-  let inputs =
-    Array.of_list (List.of_seq (Space.enumerate entry.Paper.space))
-  in
-  let n = Array.length inputs in
-  let rounds = 3 in
-  for rep = 0 to rounds - 1 do
-    Array.iteri (fun i a -> enforce d ~id:((rep * n) + i) entry a) inputs;
-    settle d
-  done;
-  for rep = 0 to rounds - 1 do
-    Array.iteri
-      (fun i a ->
-        let got = reply_of d ((rep * n) + i) in
-        let want = clean_reply entry ~policy a in
-        if got <> want then
-          Alcotest.failf "round %d input %d: %s, clean %s" rep i
-            (FReport.show_reply got) (FReport.show_reply want))
-      inputs
-  done;
-  let m = Engine.metrics d.engine in
-  let hits = Metrics.counter_value m "server/session-cache-hits" in
-  let misses = Metrics.counter_value m "server/session-cache-misses" in
-  Alcotest.(check bool) "repeats hit the cache" true (hits > 0);
-  Alcotest.(check int) "every request consulted the cache" (rounds * n)
-    (hits + misses);
-  Alcotest.(check int) "per-session hits match" hits
-    (Metrics.counter_value m
-       ("server/session/" ^ session_name ^ "/cache-hits"));
-  (* the cache is invisible in the disabled configuration *)
-  let d2 =
-    driver
-      ~config:{ Engine.default_config with Engine.session_cache = false }
-      ~policy ()
-  in
-  for rep = 0 to 1 do
-    Array.iteri (fun i a -> enforce d2 ~id:((rep * n) + i) entry a) inputs;
-    settle d2
-  done;
-  Alcotest.(check int) "disabled cache never hits" 0
-    (Metrics.counter_value (Engine.metrics d2.engine)
-       "server/session-cache-hits");
-  Array.iteri
-    (fun i a ->
-      let got = reply_of d2 (n + i) in
-      let want = clean_reply entry ~policy a in
-      if got <> want then
-        Alcotest.failf "uncached input %d: %s, clean %s" i
-          (FReport.show_reply got) (FReport.show_reply want))
-    inputs
-
-(* The I-projection soundness proof quantifies over the corpus space
-   only: a wire input outside it must fall back to the exact key even
-   when its Policy.image collides with a proven in-space class —
-   replaying that class's cached verdict for it would be an enforcement
-   hole the proof never ruled out. *)
-let test_session_cache_out_of_space () =
-  let entry = Paper.find "ex7" in
-  let policy = Policy.allow [ 0 ] in
-  let d = driver ~policy () in
-  let inside = ints [ 2; 1 ] in
-  (* Same image under allow [0] (coordinate 0 is 2), outside the 0..3
-     corpus space on coordinate 1. *)
-  let outside = ints [ 2; 9 ] in
-  enforce d ~id:0 entry inside;
-  settle d;
-  enforce d ~id:1 entry outside;
-  settle d;
-  enforce d ~id:2 entry outside;
-  settle d;
-  let m = Engine.metrics d.engine in
-  Alcotest.(check int) "the proof ran and passed" 1
-    (Metrics.counter_value m "server/cache-ikeys");
-  Alcotest.(check int) "out-of-space requests counted" 2
-    (Metrics.counter_value m "server/cache-out-of-space");
-  List.iter
-    (fun (id, a) ->
-      let got = reply_of d id in
-      let want = clean_reply entry ~policy a in
-      if got <> want then
-        Alcotest.failf "request %d: %s, clean %s" id (FReport.show_reply got)
-          (FReport.show_reply want))
-    [ (0, inside); (1, outside); (2, outside) ];
-  (* The exact-key fallback still caches: the repeat was a hit. *)
-  Alcotest.(check bool) "repeat of the out-of-space input hits" true
-    (Metrics.counter_value m "server/session-cache-hits" > 0)
-
-(* A space over the proof budget is never enumerated on the serving
-   loop: the session keys on exact inputs, which still cache — only the
-   I-collapse is lost. *)
-let test_session_cache_space_limit () =
-  let entry = Paper.find "ex7" in
-  let policy = Policy.allow [ 0 ] in
-  let config = { Engine.default_config with Engine.ikey_space_limit = 0 } in
-  let d = driver ~config ~policy () in
-  let inputs =
-    Array.of_list (List.of_seq (Space.enumerate entry.Paper.space))
-  in
-  let n = Array.length inputs in
-  for rep = 0 to 1 do
-    Array.iteri (fun i a -> enforce d ~id:((rep * n) + i) entry a) inputs;
-    settle d
-  done;
-  let m = Engine.metrics d.engine in
-  Alcotest.(check int) "proof skipped" 1
-    (Metrics.counter_value m "server/cache-ikey-skips");
-  Alcotest.(check int) "session fell back to exact keys" 1
-    (Metrics.counter_value m "server/cache-exact-keys");
-  Alcotest.(check int) "no I keys" 0
-    (Metrics.counter_value m "server/cache-ikeys");
-  Alcotest.(check bool) "exact keys still hit on the second round" true
-    (Metrics.counter_value m "server/session-cache-hits" >= n);
-  Array.iteri
-    (fun i a ->
-      let got = reply_of d (n + i) in
-      let want = clean_reply entry ~policy a in
-      if got <> want then
-        Alcotest.failf "input %d: %s, clean %s" i (FReport.show_reply got)
-          (FReport.show_reply want))
-    inputs
-
-(* Cached verdicts stay apart across programs and session configs. One
-   session interleaves four programs of the same arity over the same 0..3
-   space with identical input vectors, so a verdict keyed on the wrong
-   program would collide; a second session runs ex7 under another mode
-   and fuel. Every reply must be its own program's clean verdict under its
-   own session's config, and the I-key proof runs once per
-   (session, program). *)
-let test_session_cache_per_program () =
+(* Every served reply is a fresh run of its own session's clean monitor:
+   the engine keeps no verdict across requests. Each case is
+   (rounds, batches); a batch of (session, program, inputs) requests is
+   sent together and settled before the next. The cases cover repeats of
+   the whole ex7 space; one session interleaving four programs of the
+   same arity over the same 0..3 vectors (a plan keyed on the session
+   alone serves the wrong program) next to a second session under
+   another mode and fuel (a plan keyed on the program alone serves the
+   wrong config); and [2;9], outside ex7's corpus space but with the
+   same allow [0] image as [2;1]. *)
+let test_session_parity () =
   let policy = Policy.allow [ 0 ] in
   let d = driver ~policy () in
   let other = "u" and other_mode = Dynamic.Timed and other_fuel = 3 in
@@ -789,17 +664,28 @@ let test_session_cache_per_program () =
          journaled = false;
        });
   step d;
+  let ex7 = Paper.find "ex7" in
   let programs =
     List.map Paper.find [ "ex7"; "ex8"; "direct-flow"; "forgetting" ]
   in
-  let inputs =
-    Array.of_list
-      (List.of_seq (Space.enumerate (List.hd programs).Paper.space))
+  let space = List.of_seq (Space.enumerate ex7.Paper.space) in
+  let cases =
+    [
+      (3, List.map (fun a -> [ (session_name, ex7, a) ]) space);
+      ( 3,
+        List.map
+          (fun a ->
+            List.concat_map
+              (fun entry -> [ (session_name, entry, a); (other, entry, a) ])
+              programs)
+          space );
+      (2, [ [ (session_name, ex7, ints [ 2; 1 ]) ]; [ (session_name, ex7, ints [ 2; 9 ]) ] ]);
+    ]
   in
   (* (request id, session, program, inputs), in send order *)
   let sent = ref [] in
   let next = ref 0 in
-  let request session (entry : Paper.entry) a =
+  let request (session, (entry : Paper.entry), a) =
     let id = !next in
     incr next;
     sent := (id, session, entry, a) :: !sent;
@@ -813,14 +699,16 @@ let test_session_cache_per_program () =
            deadline_us = -1;
          })
   in
-  for _ = 1 to 3 do
-    Array.iter
-      (fun a ->
-        List.iter (fun entry -> request session_name entry a) programs;
-        request other (List.hd programs) a;
-        settle ~rounds:2 d)
-      inputs
-  done;
+  List.iter
+    (fun (rounds, batches) ->
+      for _ = 1 to rounds do
+        List.iter
+          (fun batch ->
+            List.iter request batch;
+            settle ~rounds:2 d)
+          batches
+      done)
+    cases;
   let clean_other (entry : Paper.entry) a =
     Mechanism.respond
       (Dynamic.mechanism
@@ -840,13 +728,11 @@ let test_session_cache_per_program () =
         Alcotest.failf "request %d (%s, %s): %s, clean %s" id session
           entry.Paper.name (FReport.show_reply got) (FReport.show_reply want))
     (List.rev !sent);
-  let m = Engine.metrics d.engine in
-  Alcotest.(check int) "one proof per (session, program)"
-    (List.length programs + 1)
-    (Metrics.counter_value m "server/cache-ikeys"
-    + Metrics.counter_value m "server/cache-exact-keys");
-  Alcotest.(check bool) "repeats hit the cache" true
-    (Metrics.counter_value m "server/session-cache-hits" > 0)
+  List.iter
+    (fun (name, _) ->
+      if contains name "cache" then
+        Alcotest.failf "verdict-cache series %s registered" name)
+    (Metrics.stats (Engine.metrics d.engine))
 
 (* Per-session latency histograms: one sample per executed request. *)
 let test_session_latency_histogram () =
@@ -955,7 +841,6 @@ let test_top_render_and_replay () =
     (Metrics.observe (Metrics.histogram m "server/session/alpha/latency-us"))
     [ 10; 20; 900 ];
   bump "server/session/alpha/sheds" 2;
-  bump "server/session/alpha/cache-hits" 7;
   Metrics.set (Metrics.gauge m "server/session/alpha/breaker-open") 0;
   let s1 = Metrics.snapshot m in
   bump "server/requests" 10;
@@ -1155,7 +1040,6 @@ let test_daemon_metrics_plane () =
               "server/queue-now";
               "server/session/smoke/requests";
               "server/session/smoke/latency-us";
-              "server/session/smoke/cache-hits";
             ];
           Alcotest.(check bool) "top sees the session" true
             (List.mem "smoke" (Top.sessions_of snap)));
@@ -1215,14 +1099,7 @@ let () =
           Alcotest.test_case "circuit-breaker" `Quick
             test_breaker_trips_and_recovers;
           Alcotest.test_case "health" `Quick test_engine_health;
-          Alcotest.test_case "session-verdict-cache" `Quick
-            test_session_verdict_cache;
-          Alcotest.test_case "cache-out-of-space-fallback" `Quick
-            test_session_cache_out_of_space;
-          Alcotest.test_case "cache-space-limit" `Quick
-            test_session_cache_space_limit;
-          Alcotest.test_case "cache-per-program" `Quick
-            test_session_cache_per_program;
+          Alcotest.test_case "session-parity" `Quick test_session_parity;
           Alcotest.test_case "latency-histogram" `Quick
             test_session_latency_histogram;
         ] );
